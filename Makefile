@@ -35,8 +35,9 @@
 # `make bench-par` regenerates the committed pool-vs-spawn dispatch
 # numbers in results/. `make bench-json` regenerates the committed
 # benchmark trajectories in BENCH_6.json (read path), BENCH_7.json
-# (campaign expansion) and BENCH_9.json (observability hot paths);
-# `make bench-gate` is the CI regression gate against them.
+# (campaign expansion), BENCH_9.json (observability hot paths) and
+# BENCH_12.json (CLAMR step, 1 to 4 lanes); `make bench-gate` is the CI
+# regression gate against them (the step benches must stay at 0 allocs/op).
 
 GO ?= go
 

@@ -77,11 +77,13 @@ type Config struct {
 	// InitialAdaptPasses refines the initial condition this many times so
 	// the starting mesh resolves the dam wall (default MaxLevel).
 	InitialAdaptPasses int
-	// Workers runs the finite-difference, update and timestep passes
-	// fork-join parallel over this many chunks (≤1 = serial), dispatched
-	// on the shared persistent par pool. The parallel sweeps are
-	// bit-identical to the serial ones at any worker count (disjoint
-	// writes; exact min-reduction; fixed scatter order).
+	// Workers runs every pass (finite difference, update, timestep, AMR
+	// flagging) fork-join parallel over this many chunks, dispatched on the
+	// shared persistent par pool; ≤1 runs them all serially. The solver has
+	// no default lane count of its own: runner.Run resolves 0 to GOMAXPROCS
+	// before it gets here. The parallel sweeps are bit-identical to the
+	// serial ones at any worker count (disjoint writes; exact
+	// min-reduction; per-cell gather in the serial scatter order).
 	Workers int
 	// DryTol is the dry-cell height floor: cells with h ≤ DryTol are
 	// treated as dry in the CFL scan, and flux velocity divisions clamp
@@ -111,6 +113,9 @@ func (c *Config) setDefaults() {
 	}
 	if c.InitialAdaptPasses == 0 {
 		c.InitialAdaptPasses = c.MaxLevel
+	}
+	if c.Workers < 1 {
+		c.Workers = 1
 	}
 }
 
@@ -169,9 +174,9 @@ type Solver[S, C precision.Real] struct {
 	dtRed     *par.Reducer[float64]
 	curDT     C
 	dry       C // dry-cell height floor at compute precision
-	parZero   func(lo, hi int)
 	parFluxX  func(lo, hi int)
 	parFluxY  func(lo, hi int)
+	parGather func(lo, hi int)
 	parUpdate func(lo, hi int)
 	parCell   func(lo, hi int)
 	parFlag   func(lo, hi int)
@@ -274,7 +279,7 @@ func (s *Solver[S, C]) rebuildWorkspace() {
 	s.dh = growSlice(s.dh, n)
 	s.dhu = growSlice(s.dhu, n)
 	s.dhv = growSlice(s.dhv, n)
-	s.faces.rebuild(s.mesh)
+	s.faces.rebuild(s.mesh, s.cfg.Workers > 1)
 
 	var sv S
 	var cv C
@@ -474,18 +479,15 @@ func (s *Solver[S, C]) computeDT() float64 {
 // list, the flag buffer) through it, so repeated dispatch allocates
 // nothing.
 func (s *Solver[S, C]) bindKernels() {
-	s.parZero = func(lo, hi int) {
-		clear(s.dh[lo:hi])
-		clear(s.dhu[lo:hi])
-		clear(s.dhv[lo:hi])
-	}
 	s.parFluxX = func(lo, hi int) {
 		g := C(s.cfg.Gravity)
 		fl := &s.faces
 		for k := lo; k < hi; k++ {
 			l, r := fl.xl[k], fl.xr[k]
-			fl.fxh[k], fl.fxhu[k], fl.fxhv[k] = rusanovX(g, s.dry,
+			fh, fhu, fhv := rusanovX(g, s.dry,
 				C(s.h[l]), C(s.hu[l]), C(s.hv[l]), C(s.h[r]), C(s.hu[r]), C(s.hv[r]))
+			w := fl.xlen[k]
+			fl.fx[k] = [3]C{fh * w, fhu * w, fhv * w}
 		}
 	}
 	s.parFluxY = func(lo, hi int) {
@@ -493,8 +495,58 @@ func (s *Solver[S, C]) bindKernels() {
 		fl := &s.faces
 		for k := lo; k < hi; k++ {
 			b, tp := fl.yb[k], fl.yt[k]
-			fl.fyh[k], fl.fyhu[k], fl.fyhv[k] = rusanovY(g, s.dry,
+			fh, fhu, fhv := rusanovY(g, s.dry,
 				C(s.h[b]), C(s.hu[b]), C(s.hv[b]), C(s.h[tp]), C(s.hu[tp]), C(s.hv[tp]))
+			w := fl.ylen[k]
+			fl.fy[k] = [3]C{fh * w, fhu * w, fhv * w}
+		}
+	}
+	// The gather accumulates at storage precision in the serial kernel's
+	// order (x-faces, y-faces, walls), then applies the update: it reads
+	// only staged fluxes and cell i's own pre-update state, and writes only
+	// cell i.
+	s.parGather = func(lo, hi int) {
+		g := C(s.cfg.Gravity)
+		dt := s.curDT
+		fl := &s.faces
+		for i := lo; i < hi; i++ {
+			var dh, dhu, dhv S
+			for _, e := range fl.xInc[fl.xOff[i]:fl.xOff[i+1]] {
+				f := &fl.fx[e>>1]
+				fh, fhu, fhv := S(f[0]), S(f[1]), S(f[2])
+				if e&1 == 0 {
+					dh, dhu, dhv = dh-fh, dhu-fhu, dhv-fhv
+				} else {
+					dh, dhu, dhv = dh+fh, dhu+fhu, dhv+fhv
+				}
+			}
+			for _, e := range fl.yInc[fl.yOff[i]:fl.yOff[i+1]] {
+				f := &fl.fy[e>>1]
+				fh, fhu, fhv := S(f[0]), S(f[1]), S(f[2])
+				if e&1 == 0 {
+					dh, dhu, dhv = dh-fh, dhu-fhu, dhv-fhv
+				} else {
+					dh, dhu, dhv = dh+fh, dhu+fhu, dhv+fhv
+				}
+			}
+			h, hu, hv := C(s.h[i]), C(s.hu[i]), C(s.hv[i])
+			for b := fl.bOff[i]; b < fl.bOff[i+1]; b++ {
+				w := fl.bLen[b]
+				switch fl.bSide[b] {
+				case mesh.Left:
+					dhu += S(wallFluxX(g, s.dry, h, hu, -1) * w)
+				case mesh.Right:
+					dhu -= S(wallFluxX(g, s.dry, h, hu, 1) * w)
+				case mesh.Bottom:
+					dhv += S(wallFluxY(g, s.dry, h, hv, -1) * w)
+				case mesh.Top:
+					dhv -= S(wallFluxY(g, s.dry, h, hv, 1) * w)
+				}
+			}
+			coef := dt * fl.invArea[i]
+			s.h[i] = S(h + coef*C(dh))
+			s.hu[i] = S(hu + coef*C(dhu))
+			s.hv[i] = S(hv + coef*C(dhv))
 		}
 	}
 	s.parUpdate = func(lo, hi int) {

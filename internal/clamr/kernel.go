@@ -19,41 +19,44 @@ type faceList[C precision.Real] struct {
 	// Interior y-faces: yb on the -y side, yt on the +y side.
 	yb, yt []int32
 	ylen   []C
-	// Boundary faces (reflective walls).
+	// Boundary faces (reflective walls), emitted cell by cell in ascending
+	// cell order.
 	bCell []int32
 	bSide []mesh.Side
 	bLen  []C
 	// Per-cell inverse area at compute precision.
 	invArea []C
-	// Per-face flux staging for the parallel two-phase sweep (lazily
-	// allocated): fluxes are computed in parallel, then scattered in the
-	// fixed serial face order, so the parallel kernel is bit-identical to
-	// the serial one.
-	fxh, fxhu, fxhv []C
-	fyh, fyhu, fyhv []C
-}
 
-// ensureFluxStaging sizes the per-face flux arrays, reusing their backing
-// arrays whenever capacity suffices (grow-only, like the rest of the
-// workspace).
-func (fl *faceList[C]) ensureFluxStaging() {
-	fl.fxh = growSlice(fl.fxh, len(fl.xl))
-	fl.fxhu = growSlice(fl.fxhu, len(fl.xl))
-	fl.fxhv = growSlice(fl.fxhv, len(fl.xl))
-	fl.fyh = growSlice(fl.fyh, len(fl.yb))
-	fl.fyhu = growSlice(fl.fyhu, len(fl.yb))
-	fl.fyhv = growSlice(fl.fyhv, len(fl.yb))
+	// The rest serves the multi-lane sweep only (built by rebuild when
+	// gather is set, grow-only, outside the AllocTracker accounting).
+	//
+	// Per-face flux staging (h, hu, hv fluxes of one face side by side, so
+	// a gather touches one cache line per face), premultiplied by the face
+	// length: fluxes are computed in parallel (disjoint writes), then each
+	// cell gathers its own.
+	fx, fy [][3]C
+	// Per-cell incidence lists in CSR form: cell i's x-faces are
+	// xInc[xOff[i]:xOff[i+1]] and its y-faces yInc[yOff[i]:yOff[i+1]], each
+	// entry face<<1 | 1 when i is on the face's + side (it gains the flux)
+	// and face<<1 on the − side (it loses it). Entries are in ascending face
+	// order, the order the serial kernel scatters in. Boundary faces are
+	// already grouped by cell, so cell i's are bCell[bOff[i]:bOff[i+1]].
+	xOff, yOff, bOff []int32
+	xInc, yInc       []int32
+	cursor           []int32 // CSR fill cursor
 }
 
 // rebuild re-enumerates every face of the mesh exactly once, appending into
 // the list's existing backing arrays (resliced to zero length first), so a
 // rebuild after an adaptation that did not grow the mesh allocates nothing.
+// With gather set it also sizes the flux staging and builds the per-cell
+// incidence lists the multi-lane sweep reads.
 //
 // Emission rule per cell i and neighbor n: Right/Top sides emit when
 // level(i) ≥ level(n); Left/Bottom sides emit when level(i) > level(n).
 // Same-level faces are emitted by the left/bottom cell; coarse–fine faces
 // by the fine cell. Sides with no neighbor are domain boundary.
-func (fl *faceList[C]) rebuild(m *mesh.Mesh) {
+func (fl *faceList[C]) rebuild(m *mesh.Mesh, gather bool) {
 	n := m.NumCells()
 	fl.invArea = growSlice(fl.invArea, n)
 	fl.xl, fl.xr, fl.xlen = fl.xl[:0], fl.xr[:0], fl.xlen[:0]
@@ -107,7 +110,47 @@ func (fl *faceList[C]) rebuild(m *mesh.Mesh) {
 			}
 		}
 	}
-	fl.ensureFluxStaging()
+	if !gather {
+		return
+	}
+	fl.fx, fl.fy = growSlice(fl.fx, len(fl.xl)), growSlice(fl.fy, len(fl.yb))
+	fl.cursor = growSlice(fl.cursor, n)
+	fl.xOff, fl.xInc = fl.incidence(fl.xOff, fl.xInc, fl.xl, fl.xr, n)
+	fl.yOff, fl.yInc = fl.incidence(fl.yOff, fl.yInc, fl.yb, fl.yt, n)
+	fl.bOff = growSlice(fl.bOff, n+1)
+	clear(fl.bOff)
+	for _, i := range fl.bCell {
+		fl.bOff[i+1]++
+	}
+	for i := 1; i <= n; i++ {
+		fl.bOff[i] += fl.bOff[i-1]
+	}
+}
+
+// incidence builds the CSR lists of one face kind into off (n+1 offsets)
+// and inc (two entries per face), reusing their backing arrays. Faces are
+// placed in ascending order, so every cell's list is ascending too.
+func (fl *faceList[C]) incidence(off, inc, minus, plus []int32, n int) ([]int32, []int32) {
+	off = growSlice(off, n+1)
+	inc = growSlice(inc, 2*len(minus))
+	clear(off)
+	for k := range minus {
+		off[minus[k]+1]++
+		off[plus[k]+1]++
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	cur := fl.cursor
+	copy(cur, off[:n])
+	for k := range minus {
+		m, p := minus[k], plus[k]
+		inc[cur[m]] = int32(k) << 1
+		cur[m]++
+		inc[cur[p]] = int32(k)<<1 | 1
+		cur[p]++
+	}
+	return off, inc
 }
 
 // rusanovX computes the x-direction Rusanov numerical flux between left and
@@ -308,64 +351,24 @@ func (s *Solver[S, C]) finiteDiffFace(dt C) {
 	s.accountSweep(uint64(len(fl.xl)+len(fl.yb)), uint64(len(fl.bCell)), uint64(n), 1)
 }
 
-// finiteDiffFaceParallel is the two-phase parallel variant of the
-// face-centric sweep: phase one evaluates every face flux in parallel into
-// the staging arrays (disjoint writes), phase two scatters them serially in
-// the fixed face order. Because the flux values and the accumulation order
-// match the serial kernel exactly, the result is bit-identical. All parallel
-// phases dispatch prebound kernels on the persistent pool, so the sweep
-// allocates nothing at steady state.
+// finiteDiffFaceParallel is the multi-lane variant of the face-centric
+// sweep. Two pooled passes evaluate every face flux once into the staging
+// arrays (disjoint writes); a third gathers per cell: each cell sums its
+// staged fluxes through its incidence lists, adds its wall fluxes and
+// updates its state. A cell's lists hold its faces in the serial kernel's
+// scatter order, so every cell receives the same rounded adds in the same
+// order as finiteDiffFace and the result is bit-identical at any lane
+// count. All passes dispatch prebound kernels on the persistent pool, so
+// the sweep allocates nothing at steady state.
 func (s *Solver[S, C]) finiteDiffFaceParallel(dt C) {
-	g := C(s.cfg.Gravity)
-	dry := s.dry
 	fl := &s.faces
 	workers := s.cfg.Workers
 	n := s.mesh.NumCells()
 	s.curDT = dt
 
-	s.pool.ForN(workers, n, s.parZero)
 	s.pool.ForN(workers, len(fl.xl), s.parFluxX)
 	s.pool.ForN(workers, len(fl.yb), s.parFluxY)
-
-	// Serial scatter in face order (matches the serial kernel's order).
-	for k := range fl.xl {
-		l, r := fl.xl[k], fl.xr[k]
-		w := fl.xlen[k]
-		fh, fhu, fhv := fl.fxh[k], fl.fxhu[k], fl.fxhv[k]
-		s.dh[l] -= S(fh * w)
-		s.dhu[l] -= S(fhu * w)
-		s.dhv[l] -= S(fhv * w)
-		s.dh[r] += S(fh * w)
-		s.dhu[r] += S(fhu * w)
-		s.dhv[r] += S(fhv * w)
-	}
-	for k := range fl.yb {
-		b, tp := fl.yb[k], fl.yt[k]
-		w := fl.ylen[k]
-		fh, fhu, fhv := fl.fyh[k], fl.fyhu[k], fl.fyhv[k]
-		s.dh[b] -= S(fh * w)
-		s.dhu[b] -= S(fhu * w)
-		s.dhv[b] -= S(fhv * w)
-		s.dh[tp] += S(fh * w)
-		s.dhu[tp] += S(fhu * w)
-		s.dhv[tp] += S(fhv * w)
-	}
-	for k := range fl.bCell {
-		i := fl.bCell[k]
-		w := fl.bLen[k]
-		switch fl.bSide[k] {
-		case mesh.Left:
-			s.dhu[i] += S(wallFluxX(g, dry, C(s.h[i]), C(s.hu[i]), -1) * w)
-		case mesh.Right:
-			s.dhu[i] -= S(wallFluxX(g, dry, C(s.h[i]), C(s.hu[i]), 1) * w)
-		case mesh.Bottom:
-			s.dhv[i] += S(wallFluxY(g, dry, C(s.h[i]), C(s.hv[i]), -1) * w)
-		case mesh.Top:
-			s.dhv[i] -= S(wallFluxY(g, dry, C(s.h[i]), C(s.hv[i]), 1) * w)
-		}
-	}
-
-	s.pool.ForN(workers, n, s.parUpdate)
+	s.pool.ForN(workers, n, s.parGather)
 
 	s.accountSweep(uint64(len(fl.xl)+len(fl.yb)), uint64(len(fl.bCell)), uint64(n), 1)
 }

@@ -71,12 +71,14 @@ func stateHash(t *testing.T, kernel Kernel, mode precision.Mode, workers int) [s
 
 // TestParallelStateHashIdentical is the regression form of the determinism
 // contract: the sha256 of the complete serialised state must be
-// byte-identical at every worker count, including counts above the pool
-// size and above GOMAXPROCS.
+// byte-identical at every worker count, including 0 (serial, like 1),
+// counts above the pool size and above GOMAXPROCS. Mixed is the mode where
+// storage and compute widths differ, so the face gather's storage-precision
+// rounding of each staged flux is exercised.
 func TestParallelStateHashIdentical(t *testing.T) {
-	workerCounts := []int{1, 2, 3, 7, runtime.GOMAXPROCS(0)}
+	workerCounts := []int{1, 0, 2, 3, 7, runtime.GOMAXPROCS(0)}
 	for _, kernel := range []Kernel{KernelCell, KernelFace} {
-		for _, mode := range []precision.Mode{precision.Min, precision.Full} {
+		for _, mode := range []precision.Mode{precision.Min, precision.Mixed, precision.Full} {
 			ref := stateHash(t, kernel, mode, workerCounts[0])
 			for _, workers := range workerCounts[1:] {
 				if got := stateHash(t, kernel, mode, workers); got != ref {
@@ -89,31 +91,44 @@ func TestParallelStateHashIdentical(t *testing.T) {
 }
 
 // TestCLAMRStepZeroAlloc asserts the tentpole property: after warm-up the
-// step loop allocates nothing, on both kernels, serial and pooled.
+// step loop allocates nothing, on both kernels, serial and pooled. The
+// amr case adapts the mesh during warm-up, then times a step plus a
+// workspace rebuild on the unchanged mesh (mesh.Adapt itself allocates):
+// rebuilding the face list, flux staging and incidence lists must reuse
+// their backing arrays.
 func TestCLAMRStepZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		kernel  Kernel
 		workers int
+		amr     bool
 	}{
-		{"face/serial", KernelFace, 1},
-		{"face/pooled", KernelFace, 4},
-		{"cell/serial", KernelCell, 1},
-		{"cell/pooled", KernelCell, 4},
+		{"face/serial", KernelFace, 1, false},
+		{"face/pooled", KernelFace, 4, false},
+		{"face/pooled/amr", KernelFace, 4, true},
+		{"cell/serial", KernelCell, 1, false},
+		{"cell/pooled", KernelCell, 4, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{
 				NX: 32, NY: 32, MaxLevel: 1, Kernel: tc.kernel,
 				AMRInterval: 0, Workers: tc.workers,
 			}
+			if tc.amr {
+				cfg.AMRInterval = 2
+			}
 			s, err := NewSolver[float64, float64](cfg, testIC(cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Run(3); err != nil { // warm pool, staging, timer cells
+			if err := s.Run(6); err != nil { // warm pool, staging, timer cells, AMR
 				t.Fatal(err)
 			}
+			s.cfg.AMRInterval = 0
 			if allocs := testing.AllocsPerRun(20, func() {
+				if tc.amr {
+					s.rebuildWorkspace()
+				}
 				if err := s.Step(); err != nil {
 					t.Fatal(err)
 				}
@@ -134,6 +149,7 @@ func BenchmarkCLAMRStep(b *testing.B) {
 		workers int
 	}{
 		{"face/w1", KernelFace, 1},
+		{"face/w2", KernelFace, 2},
 		{"face/w4", KernelFace, 4},
 		{"cell/w1", KernelCell, 1},
 		{"cell/w4", KernelCell, 4},

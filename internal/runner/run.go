@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -127,8 +128,10 @@ type RunOpts struct {
 	Resume io.Reader
 	// Checkpoint receives a copy of the final-state checkpoint bytes.
 	Checkpoint io.Writer
-	// Workers bounds the solver's parallel chunk budget (0 = GOMAXPROCS).
-	// Results are bit-identical at every setting.
+	// Workers bounds the solver's parallel chunk budget. Run is the one
+	// owner of the default: ≤0 selects runtime.GOMAXPROCS(0), while the
+	// solvers themselves treat ≤1 as serial. Results are bit-identical at
+	// every setting.
 	Workers int
 	// GuardEvery sets the numerical-sentinel cadence (0 = the core
 	// default; negative disables the periodic sentinels).
@@ -179,10 +182,14 @@ func Run(ctx context.Context, spec ExperimentSpec, opts RunOpts) (*Result, error
 		CheckpointSink:  opts.CheckpointSink,
 	}
 
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	res := &Result{Spec: n, SpecHash: hash, Steps: n.Steps}
 	switch n.App {
 	case AppCLAMR:
-		cfg, err := n.CLAMRConfig(opts.Workers)
+		cfg, err := n.CLAMRConfig(workers)
 		if err != nil {
 			return nil, &Error{Kind: KindPermanent, Op: "clamr config", Err: err}
 		}
@@ -203,7 +210,7 @@ func Run(ctx context.Context, spec ExperimentSpec, opts RunOpts) (*Result, error
 			res.LineCut = &Series{Label: r.LineCut.Label, X: r.LineCut.X, Y: r.LineCut.Y}
 		}
 	case AppSELF:
-		cfg, err := n.SELFConfig(opts.Workers)
+		cfg, err := n.SELFConfig(workers)
 		if err != nil {
 			return nil, &Error{Kind: KindPermanent, Op: "self config", Err: err}
 		}

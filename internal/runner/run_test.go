@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -73,6 +76,61 @@ func TestRunDeterministicAcrossReruns(t *testing.T) {
 		}
 		if a.StateHash != b.StateHash || a.StateHash == "" {
 			t.Errorf("%s: state hash changed: %q vs %q", spec.App, a.StateHash, b.StateHash)
+		}
+	}
+}
+
+// TestRunLaneCountsIdentical asserts the lane-count contract at the runner
+// surface: Workers 0 (GOMAXPROCS, resolved by Run) and every explicit lane
+// count produce the same deterministic measurables as the single-lane run,
+// for both apps at min, mixed and full. The CLAMR spec adapts every 3 steps
+// and its mesh grows and shrinks over 45 steps, so the face kernel's
+// incidence lists are rebuilt on meshes of changing size. SELF's
+// StateBytes counts per-chunk scratch and so grows with the lane count by
+// design (see Result); for SELF only Workers 0 and GOMAXPROCS must agree.
+func TestRunLaneCountsIdentical(t *testing.T) {
+	clamrSpec := ExperimentSpec{
+		App: AppCLAMR, Steps: 45, LineCutN: 32,
+		NX: 12, NY: 12, MaxLevel: 2, Kernel: "vectorized", AMRInterval: 3,
+	}
+	for _, base := range []ExperimentSpec{clamrSpec, selfTestSpec()} {
+		for _, mode := range []string{"min", "mixed", "full"} {
+			spec := base
+			spec.Mode = mode
+			run := func(workers int) *Result {
+				res, err := Run(context.Background(), spec, RunOpts{Workers: workers})
+				if err != nil {
+					t.Fatalf("%s/%s workers=%d: %v", spec.App, mode, workers, err)
+				}
+				return res
+			}
+			ref := run(1)
+			for _, workers := range []int{0, 2, 3, 7} {
+				got := run(workers)
+				name := fmt.Sprintf("%s/%s workers=%d", spec.App, mode, workers)
+				if got.StateHash != ref.StateHash {
+					t.Errorf("%s: state hash %s, workers=1 %s", name, got.StateHash, ref.StateHash)
+				}
+				if got.Counters != ref.Counters {
+					t.Errorf("%s: counters %+v, workers=1 %+v", name, got.Counters, ref.Counters)
+				}
+				if got.CheckpointBytes != ref.CheckpointBytes {
+					t.Errorf("%s: checkpoint bytes %d, workers=1 %d", name, got.CheckpointBytes, ref.CheckpointBytes)
+				}
+				if !reflect.DeepEqual(got.MassError, ref.MassError) || !reflect.DeepEqual(got.LineCut, ref.LineCut) {
+					t.Errorf("%s: mass error or line cut differs from workers=1", name)
+				}
+				wantBytes := ref.StateBytes
+				if spec.App == AppSELF {
+					if workers != 0 {
+						continue
+					}
+					wantBytes = run(runtime.GOMAXPROCS(0)).StateBytes
+				}
+				if got.StateBytes != wantBytes {
+					t.Errorf("%s: state bytes %d, want %d", name, got.StateBytes, wantBytes)
+				}
+			}
 		}
 	}
 }

@@ -238,7 +238,7 @@ func (s ExperimentSpec) PrecisionMode() (precision.Mode, error) {
 }
 
 // CLAMRConfig materializes the CLAMR configuration the spec describes.
-// workers sets the parallel chunk budget (0 = solver default); it is an
+// workers sets the parallel chunk budget (≤1 = serial); it is an
 // execution detail, never part of the hash.
 func (s ExperimentSpec) CLAMRConfig(workers int) (clamr.Config, error) {
 	if s.App != AppCLAMR {

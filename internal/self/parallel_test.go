@@ -1,11 +1,12 @@
 package self
 
 import (
+	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
-	"math"
 	"runtime"
 	"testing"
+
+	"repro/internal/precision"
 )
 
 // TestParallelBitwiseIdentical verifies that every pass of the solver
@@ -39,41 +40,37 @@ func TestParallelBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// selfStateHash runs a short simulation and digests every bit of every
-// conserved variable.
-func selfStateHash(t *testing.T, workers int) [sha256.Size]byte {
+// selfStateHash runs a short simulation and digests its checkpoint, which
+// holds every bit of every conserved variable at storage precision.
+func selfStateHash(t *testing.T, mode precision.Mode, workers int) [sha256.Size]byte {
 	t.Helper()
 	cfg := smallConfig()
 	cfg.Workers = workers
-	s, err := NewSolver[float64, float64](cfg)
+	r, err := New(mode, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(15); err != nil {
+	if err := r.Run(15); err != nil {
 		t.Fatal(err)
 	}
-	h := sha256.New()
-	var buf [8]byte
-	for v := 0; v < nVars; v++ {
-		for n := 0; n < s.nNodes; n++ {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(float64(s.q[v][n])))
-			h.Write(buf[:])
-		}
+	var buf bytes.Buffer
+	if _, err := r.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
 	}
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
+	return sha256.Sum256(buf.Bytes())
 }
 
 // TestParallelStateHashIdentical is the regression form of the determinism
 // contract: a sha256 over all five conserved variables must be
-// byte-identical at every worker count, including counts above the pool
-// size and above GOMAXPROCS.
+// byte-identical at every worker count, including 0 (serial, like 1),
+// counts above the pool size and above GOMAXPROCS, in every mode.
 func TestParallelStateHashIdentical(t *testing.T) {
-	ref := selfStateHash(t, 1)
-	for _, workers := range []int{2, 3, 7, runtime.GOMAXPROCS(0)} {
-		if got := selfStateHash(t, workers); got != ref {
-			t.Errorf("workers=%d state hash %x, workers=1 %x", workers, got, ref)
+	for _, mode := range []precision.Mode{precision.Min, precision.Mixed, precision.Full} {
+		ref := selfStateHash(t, mode, 1)
+		for _, workers := range []int{0, 2, 3, 7, runtime.GOMAXPROCS(0)} {
+			if got := selfStateHash(t, mode, workers); got != ref {
+				t.Errorf("%v workers=%d state hash %x, workers=1 %x", mode, workers, got, ref)
+			}
 		}
 	}
 }

@@ -49,7 +49,7 @@ func (s *Solver[S, C]) computeRHS() {
 	workers := s.cfg.Workers
 	s.pool.ForN(workers, s.nNodes, s.parPressure)
 	s.pool.ForN(workers, s.nNodes, s.parClearRHS)
-	s.pool.ForChunks(s.chunks(), s.ne*s.ne*s.ne, s.parElems)
+	s.pool.ForChunks(workers, s.ne*s.ne*s.ne, s.parElems)
 	s.accountRHS()
 }
 
@@ -446,7 +446,7 @@ func (s *Solver[S, C]) faceCorrections(e, ex, ey, ez int, pprime []C) {
 func (s *Solver[S, C]) applyFilter() {
 	np := s.np
 	nElems := s.ne * s.ne * s.ne
-	s.pool.ForChunks(s.chunks(), nElems, s.parFilter)
+	s.pool.ForChunks(s.cfg.Workers, nElems, s.parFilter)
 	nodes := uint64(s.nNodes)
 	s.addFlops(nodes*nVars*3*2*uint64(np), 0)
 	s.counters.Add(metrics.Counters{

@@ -86,9 +86,12 @@ type Config struct {
 	FilterOrder int
 	// MathMode selects the transcendental code-generation profile.
 	MathMode MathMode
-	// Workers runs the RHS, update and filter passes fork-join parallel
-	// over this many goroutines (≤1 = serial). All passes write disjoint
-	// ranges, so results are bit-identical at any worker count.
+	// Workers runs the pressure, RHS, update and filter passes fork-join
+	// parallel over this many chunks on the shared persistent par pool;
+	// ≤1 runs them all serially. The solver has no default lane count of
+	// its own: runner.Run resolves 0 to GOMAXPROCS before it gets here. All
+	// passes write disjoint ranges, so results are bit-identical at any
+	// worker count.
 	Workers int
 	// Bubble parameters: potential-temperature amplitude (K), radius (m)
 	// and center; defaults 0.5 K, Domain/4, (L/2, L/2, 0.35L).
@@ -115,6 +118,9 @@ func (c *Config) setDefaults() error {
 	}
 	if c.FilterInterval == 0 {
 		c.FilterInterval = 1
+	}
+	if c.Workers < 1 {
+		c.Workers = 1
 	}
 	if c.FilterCutoff == 0 {
 		c.FilterCutoff = 2 * c.Order / 3
@@ -262,15 +268,6 @@ func NewSolver[S, C precision.Real](cfg Config) (*Solver[S, C], error) {
 	return s, nil
 }
 
-// chunks returns the dispatch chunk count the Workers option selects (the
-// determinism-relevant number; pool size is independent of it).
-func (s *Solver[S, C]) chunks() int {
-	if s.cfg.Workers > 1 {
-		return s.cfg.Workers
-	}
-	return 1
-}
-
 func toC[C precision.Real](xs []float64) []C {
 	out := make([]C, len(xs))
 	for i, x := range xs {
@@ -290,7 +287,7 @@ func (s *Solver[S, C]) allocate() {
 		s.rhs[v] = make([]C, n)
 	}
 	s.scrP = make([]C, n)
-	nChunks := s.chunks()
+	nChunks := s.cfg.Workers
 	s.elemScratch = make([][]C, nChunks)
 	s.filterBuf = make([][]C, nChunks)
 	s.filterOut = make([][]C, nChunks)

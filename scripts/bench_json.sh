@@ -4,7 +4,9 @@
 # Default mode: run the tiered read-path benchmarks and write BENCH_6.json,
 # the campaign-expansion benchmark into BENCH_7.json, and the observability
 # hot-path benchmarks (per-job trace lifecycle with worker-subtree stitch,
-# fleet-metrics federation) into BENCH_9.json — one record per bench with
+# fleet-metrics federation) into BENCH_9.json, and the CLAMR steady-state
+# step (face and cell kernels, one and several lanes) into BENCH_12.json —
+# one record per bench with
 # ns/op, ops/sec, B/op and allocs/op (for the campaign bench, ops/sec is
 # specs expanded+hashed per second). The files are committed so the
 # trajectory is versioned alongside the code.
@@ -18,7 +20,10 @@
 #     (these encode the PR's acceptance criteria and hold on any host);
 #   * alloc regression vs the committed baseline — allocs/op is
 #     machine-independent, so any tracked bench allocating >20% more than
-#     the committed number fails the gate. Raw ns/op is NOT compared
+#     the committed number fails the gate;
+#   * zero allocations for the CLAMR step benches: the step loop must
+#     allocate nothing at any lane count. Lane speedups are not gated (a
+#     1-core host cannot show one). Raw ns/op is NOT compared
 #     across machines (a faster or slower CI host would make the gate
 #     meaningless); the ratio checks carry the wall-clock contract.
 set -euo pipefail
@@ -28,12 +33,14 @@ GO=${GO:-go}
 OUT=BENCH_6.json
 OUT7=BENCH_7.json
 OUT9=BENCH_9.json
+OUT12=BENCH_12.json
 MODE=${1:-generate}
 
 raw=$(mktemp)
 raw7=$(mktemp)
 raw9=$(mktemp)
-trap 'rm -f "$raw" "$raw7" "$raw9"' EXIT
+raw12=$(mktemp)
+trap 'rm -f "$raw" "$raw7" "$raw9" "$raw12"' EXIT
 
 echo "== running read-path benchmarks (this takes ~10s)"
 $GO test -run '^$' -bench 'ReadPath' -benchmem -benchtime=1s \
@@ -50,6 +57,11 @@ $GO test -run '^$' -bench 'Obs(JobTrace|StitchSnapshot|Federate)' -benchmem -ben
     ./internal/obs/ | tee "$raw9" | grep -E '^Benchmark' || {
     echo "FAIL: observability benchmarks did not run"; exit 1; }
 
+echo "== running CLAMR step benchmarks"
+$GO test -run '^$' -bench 'CLAMRStep' -benchmem -benchtime=1s \
+    ./internal/clamr/ | tee "$raw12" | grep -E '^Benchmark' || {
+    echo "FAIL: CLAMR step benchmarks did not run"; exit 1; }
+
 # Parse `BenchmarkName-N  iters  ns/op  B/op  allocs/op` lines into JSON.
 parse_json() { # parse_json <raw-file>
     awk '
@@ -64,8 +76,9 @@ parse_json() { # parse_json <raw-file>
 json=$(parse_json "$raw")
 json7=$(parse_json "$raw7")
 json9=$(parse_json "$raw9")
+json12=$(parse_json "$raw12")
 
-if [ -z "$json" ] || [ -z "$json7" ] || [ -z "$json9" ]; then
+if [ -z "$json" ] || [ -z "$json7" ] || [ -z "$json9" ] || [ -z "$json12" ]; then
     echo "FAIL: no benchmark lines parsed"; exit 1
 fi
 
@@ -114,15 +127,35 @@ alloc_gate() {
     return "$fail"
 }
 
+# zero_alloc_gate <json-file> <bench...>: each bench must report exactly
+# 0 allocs/op. Returns nonzero on any allocation.
+zero_alloc_gate() {
+    local f=$1 bench now fail=0; shift
+    for bench in "$@"; do
+        now=$(get "$f" "$bench" allocs_per_op)
+        if [ -z "$now" ]; then
+            echo "FAIL: $bench missing"; fail=1
+        elif [ "$now" != 0 ]; then
+            echo "FAIL: $bench allocates $now objects/op (must be 0)"; fail=1
+        else
+            echo "   $bench allocs/op: 0 OK"
+        fi
+    done
+    return "$fail"
+}
+
+STEP_BENCHES=(CLAMRStep/face/w1 CLAMRStep/face/w2 CLAMRStep/face/w4 CLAMRStep/cell/w1 CLAMRStep/cell/w4)
+
 if [ "$MODE" = "--check" ]; then
     [ -f "$OUT" ] || { echo "FAIL: no committed $OUT to gate against"; exit 1; }
     [ -f "$OUT7" ] || { echo "FAIL: no committed $OUT7 to gate against"; exit 1; }
     [ -f "$OUT9" ] || { echo "FAIL: no committed $OUT9 to gate against"; exit 1; }
-    fresh=$(mktemp); fresh7=$(mktemp); fresh9=$(mktemp)
-    trap 'rm -f "$raw" "$raw7" "$raw9" "$fresh" "$fresh7" "$fresh9"' EXIT
+    fresh=$(mktemp); fresh7=$(mktemp); fresh9=$(mktemp); fresh12=$(mktemp)
+    trap 'rm -f "$raw" "$raw7" "$raw9" "$raw12" "$fresh" "$fresh7" "$fresh9" "$fresh12"' EXIT
     printf '%s\n' "$json" > "$fresh"
     printf '%s\n' "$json7" > "$fresh7"
     printf '%s\n' "$json9" > "$fresh9"
+    printf '%s\n' "$json12" > "$fresh12"
     echo "== fresh-run ratio gates"
     check_ratios "$fresh"
     fail=0
@@ -134,6 +167,8 @@ if [ "$MODE" = "--check" ]; then
     echo "   campaign expansion: ${specs_sec:-?} specs/sec"
     echo "== alloc regression gate vs committed $OUT9 (>20% fails: instrumentation must stay off the hot path)"
     alloc_gate "$OUT9" "$fresh9" ObsJobTrace ObsStitchSnapshot ObsFederate || fail=1
+    echo "== zero-allocation gate on the CLAMR step benches (the step loop allocates nothing at any lane count)"
+    zero_alloc_gate "$fresh12" "${STEP_BENCHES[@]}" || fail=1
     [ "$fail" = 0 ] || exit 1
     echo "PASS: bench regression gate"
     exit 0
@@ -172,6 +207,18 @@ cat > "$OUT9" <<EOF
   ]
 }
 EOF
-echo "== wrote $OUT, $OUT7 and $OUT9"
+cat > "$OUT12" <<EOF
+{
+  "schema": "bench-trajectory/v1",
+  "issue": 12,
+  "description": "CLAMR steady-state step (128x128, no AMR, full precision): face kernel at 1, 2 and 4 lanes (1 lane is the serial vectorized kernel; more lanes run pooled flux passes plus the per-cell gather) and cell kernel at 1 and 4 lanes. allocs/op is gated at 0; ns/op is recorded, not gated.",
+  "command": "make bench-json",
+  "benchmarks": [
+    $json12
+  ]
+}
+EOF
+echo "== wrote $OUT, $OUT7, $OUT9 and $OUT12"
+zero_alloc_gate "$OUT12" "${STEP_BENCHES[@]}"
 check_ratios "$OUT"
 echo "   campaign expansion: $(get "$OUT7" CampaignExpand ops_per_sec) specs/sec at $(get "$OUT7" CampaignExpand allocs_per_op) allocs/spec"
