@@ -1,9 +1,9 @@
 # Build/verify entry points. `make verify` is the tier-1 gate: vet plus the
 # full test suite. `make race` runs the race detector over the parallel
-# runtime, both mini-app step loops (the packages that dispatch on the
-# worker pool) and the experiment service. `make serve-smoke` exercises the
-# precisiond daemon end to end: submit a job twice, assert the second is a
-# cache hit. `make chaos-smoke` SIGKILLs a fault-injected daemon mid-sweep
+# runtime, the AMR mesh and both mini-app step loops (the packages that
+# dispatch on the worker pool) and the experiment service. `make
+# serve-smoke` exercises the precisiond daemon end to end: submit a job
+# twice, assert the second is a cache hit. `make chaos-smoke` SIGKILLs a fault-injected daemon mid-sweep
 # and asserts the recovered sweep is bit-identical (DESIGN.md §7).
 # `make obs-smoke` checks the telemetry surface end to end: /metrics
 # exposition, job traces, the client's -trace timeline and the pprof debug
@@ -35,9 +35,10 @@
 # `make bench-par` regenerates the committed pool-vs-spawn dispatch
 # numbers in results/. `make bench-json` regenerates the committed
 # benchmark trajectories in BENCH_6.json (read path), BENCH_7.json
-# (campaign expansion), BENCH_9.json (observability hot paths) and
-# BENCH_12.json (CLAMR step, 1 to 4 lanes); `make bench-gate` is the CI
-# regression gate against them (the step benches must stay at 0 allocs/op).
+# (campaign expansion), BENCH_9.json (observability hot paths),
+# BENCH_12.json (CLAMR step, 1 to 4 lanes) and BENCH_13.json (mesh adapt
+# cycle, 1 and 2 lanes); `make bench-gate` is the CI regression gate against
+# them (the step and adapt benches must stay at 0 allocs/op).
 
 GO ?= go
 
@@ -55,7 +56,7 @@ vet:
 verify: build vet test
 
 race:
-	$(GO) test -race ./internal/par/... ./internal/clamr/... ./internal/self/... ./internal/serve/... ./internal/runner/...
+	$(GO) test -race ./internal/par/... ./internal/mesh/... ./internal/clamr/... ./internal/self/... ./internal/serve/... ./internal/runner/...
 
 serve-smoke:
 	GO="$(GO)" ./scripts/serve_smoke.sh

@@ -165,6 +165,9 @@ type Solver[S, C precision.Real] struct {
 	alloc     *metrics.AllocTracker
 	massDrift float64 // |mass(t)-mass(0)| / mass(0), updated by MassError
 	mass0     float64
+	// massTerms is Mass's grow-only addend buffer; the reproducible sum
+	// folds it in place.
+	massTerms []float64
 
 	// Parallel runtime: the shared persistent pool, a reusable reduction
 	// for the CFL scan, and kernels prebound once at construction so the
@@ -204,6 +207,7 @@ func NewSolver[S, C precision.Real](cfg Config, ic InitialCondition) (*Solver[S,
 	if err != nil {
 		return nil, fmt.Errorf("clamr: %w", err)
 	}
+	m.SetWorkers(cfg.Workers)
 	s := &Solver[S, C]{
 		cfg:   cfg,
 		mesh:  m,
@@ -360,12 +364,15 @@ func (s *Solver[S, C]) VelocityF64() (u, v []float64) {
 // Mass returns the total water volume ∑ h·A computed with the reproducible
 // summation of internal/reduce — the paper's §III.C practice of raising the
 // precision of global sums while the rest of the computation runs reduced.
+// The addends live in a buffer reused across calls, so the periodic health
+// check allocates nothing.
 func (s *Solver[S, C]) Mass() float64 {
-	terms := make([]float64, len(s.h))
+	s.massTerms = growSlice(s.massTerms, len(s.h))
+	terms := s.massTerms
 	for i := range s.h {
 		terms[i] = float64(s.h[i]) * s.mesh.Area(i)
 	}
-	return reduce.SumReproducible(terms)
+	return reduce.FoldReproducible(terms)
 }
 
 // MassError returns |mass(t) − mass(0)| / mass(0).

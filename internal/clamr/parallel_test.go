@@ -92,22 +92,27 @@ func TestParallelStateHashIdentical(t *testing.T) {
 
 // TestCLAMRStepZeroAlloc asserts the tentpole property: after warm-up the
 // step loop allocates nothing, on both kernels, serial and pooled. The
-// amr case adapts the mesh during warm-up, then times a step plus a
-// workspace rebuild on the unchanged mesh (mesh.Adapt itself allocates):
+// rebuild and amr cases adapt the mesh during warm-up. The rebuild case
+// then times a workspace rebuild plus a step on the unchanged mesh:
 // rebuilding the face list, flux staging and incidence lists must reuse
-// their backing arrays.
+// their backing arrays. The amr case times a whole adaptation (flagging,
+// mesh.Adapt, state remap) plus the workspace rebuild; without steps in
+// between the mesh is at a fixed point and does not grow, so every buffer
+// is reused.
 func TestCLAMRStepZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		kernel  Kernel
 		workers int
 		amr     bool
+		adapt   bool
 	}{
-		{"face/serial", KernelFace, 1, false},
-		{"face/pooled", KernelFace, 4, false},
-		{"face/pooled/amr", KernelFace, 4, true},
-		{"cell/serial", KernelCell, 1, false},
-		{"cell/pooled", KernelCell, 4, false},
+		{"face/serial", KernelFace, 1, false, false},
+		{"face/pooled", KernelFace, 4, false, false},
+		{"face/pooled/rebuild", KernelFace, 4, true, false},
+		{"face/pooled/amr", KernelFace, 4, true, true},
+		{"cell/serial", KernelCell, 1, false, false},
+		{"cell/pooled", KernelCell, 4, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{
@@ -125,7 +130,21 @@ func TestCLAMRStepZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.cfg.AMRInterval = 0
+			if tc.adapt {
+				if err := s.adapt(); err != nil { // reach the fixed point
+					t.Fatal(err)
+				}
+				s.rebuildWorkspace()
+			}
+			cells := s.mesh.NumCells()
 			if allocs := testing.AllocsPerRun(20, func() {
+				if tc.adapt {
+					if err := s.adapt(); err != nil {
+						t.Fatal(err)
+					}
+					s.rebuildWorkspace()
+					return
+				}
 				if tc.amr {
 					s.rebuildWorkspace()
 				}
@@ -135,8 +154,43 @@ func TestCLAMRStepZeroAlloc(t *testing.T) {
 			}); allocs != 0 {
 				t.Errorf("steady-state Step allocated %v objects per call", allocs)
 			}
+			if tc.adapt && s.mesh.NumCells() != cells {
+				t.Fatalf("mesh changed from %d to %d cells without a step", cells, s.mesh.NumCells())
+			}
 		})
 	}
+}
+
+// TestCheckHealthZeroAlloc: the periodic numerical sentinel reuses its
+// mass-sum buffer, so after warm-up it allocates nothing.
+func TestCheckHealthZeroAlloc(t *testing.T) {
+	cfg := Config{NX: 32, NY: 32, MaxLevel: 1, Kernel: KernelFace, AMRInterval: 5}
+	for name, s := range map[string]interface {
+		Run(int) error
+		CheckHealth() error
+	}{
+		"min":   must(NewSolver[float32, float32](cfg, testIC(cfg))),
+		"mixed": must(NewSolver[float32, float64](cfg, testIC(cfg))),
+		"full":  must(NewSolver[float64, float64](cfg, testIC(cfg))),
+	} {
+		if err := s.Run(10); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := s.CheckHealth(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: CheckHealth allocated %v objects per call", name, allocs)
+		}
+	}
+}
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // BenchmarkCLAMRStep measures the steady-state step (no AMR) for both

@@ -60,7 +60,7 @@ func loadSolver[S, C precision.Real](cfg Config, ck *checkpoint.Checkpoint) (*So
 		}
 		cells[k] = mesh.Cell{I: is[k], J: js[k], Level: int8(ls[k])}
 	}
-	m, err := mesh.FromCells(cfg.NX, cfg.NY, cfg.MaxLevel, cfg.Bounds, cells)
+	m, err := mesh.FromCells(cfg.NX, cfg.NY, cfg.MaxLevel, cfg.Bounds, cells, cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("clamr: restart: %w", err)
 	}

@@ -2,6 +2,7 @@ package clamr
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 
 	"repro/internal/precision"
@@ -9,8 +10,17 @@ import (
 
 // TestRestartBitExact: run → checkpoint → load → continue must match an
 // uninterrupted run bitwise (the checkpoint stores state at full storage
-// width and the mesh exactly, and dt is recomputed from state).
+// width and the mesh exactly, and dt is recomputed from state). The resume
+// runs single-lane and on three lanes — the restored mesh follows the
+// solver's lane budget — and must reach the same state hash either way.
 func TestRestartBitExact(t *testing.T) {
+	digest := func(r Runner) [sha256.Size]byte {
+		var buf bytes.Buffer
+		if _, err := r.WriteCheckpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return sha256.Sum256(buf.Bytes())
+	}
 	for _, mode := range []precision.Mode{precision.Min, precision.Mixed, precision.Full} {
 		cfg := testConfig(KernelFace, 1)
 		cfg.AMRInterval = 7 // odd cadence so adaptation straddles the split
@@ -34,25 +44,35 @@ func TestRestartBitExact(t *testing.T) {
 		if _, err := first.WriteCheckpoint(&buf); err != nil {
 			t.Fatal(err)
 		}
-		resumed, err := Load(mode, cfg, &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resumed.StepCount() != 30 || resumed.Time() != first.Time() {
-			t.Fatalf("%v: restored step=%d time=%g, want 30/%g",
-				mode, resumed.StepCount(), resumed.Time(), first.Time())
-		}
-		if err := resumed.Run(20); err != nil {
-			t.Fatal(err)
-		}
+		ckpt := buf.Bytes()
 
-		hs, hr := straight.HeightF64(), resumed.HeightF64()
-		if len(hs) != len(hr) {
-			t.Fatalf("%v: cell counts diverged %d vs %d", mode, len(hs), len(hr))
-		}
-		for i := range hs {
-			if hs[i] != hr[i] {
-				t.Fatalf("%v: cell %d differs after restart: %x vs %x", mode, i, hs[i], hr[i])
+		want := digest(straight)
+		for _, workers := range []int{1, 3} {
+			lanes := cfg
+			lanes.Workers = workers
+			resumed, err := Load(mode, lanes, bytes.NewReader(ckpt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed.StepCount() != 30 || resumed.Time() != first.Time() {
+				t.Fatalf("%v workers=%d: restored step=%d time=%g, want 30/%g",
+					mode, workers, resumed.StepCount(), resumed.Time(), first.Time())
+			}
+			if err := resumed.Run(20); err != nil {
+				t.Fatal(err)
+			}
+
+			hs, hr := straight.HeightF64(), resumed.HeightF64()
+			if len(hs) != len(hr) {
+				t.Fatalf("%v workers=%d: cell counts diverged %d vs %d", mode, workers, len(hs), len(hr))
+			}
+			for i := range hs {
+				if hs[i] != hr[i] {
+					t.Fatalf("%v workers=%d: cell %d differs after restart: %x vs %x", mode, workers, i, hs[i], hr[i])
+				}
+			}
+			if got := digest(resumed); got != want {
+				t.Errorf("%v workers=%d: resumed state hash %x, uninterrupted %x", mode, workers, got, want)
 			}
 		}
 	}

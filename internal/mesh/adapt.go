@@ -13,6 +13,11 @@ const (
 	Keep RefineFlag = 0
 	// Refine splits the cell into four children.
 	Refine RefineFlag = 1
+
+	// Adapt's working states of a granted coarsening: the member that
+	// emits the parent (the lowest-indexed sibling) and the others.
+	coarsenLead   RefineFlag = -2
+	coarsenMerged RefineFlag = -3
 )
 
 // Remap describes how solver state moves from the pre-Adapt mesh to the
@@ -47,7 +52,10 @@ type CoarsenOp struct {
 // propagation may refine cells that were not flagged, and may veto
 // coarsening). It rebuilds the mesh and returns the state remap plan.
 //
-// flags must have one entry per current cell.
+// flags must have one entry per current cell. The returned plan aliases
+// mesh storage valid until the next Adapt, like Neighbors: all working
+// buffers are grow-only mesh scratch, so an Adapt that does not grow the
+// mesh allocates nothing.
 func (m *Mesh) Adapt(flags []RefineFlag) (*Remap, error) {
 	if len(flags) != len(m.cells) {
 		return nil, fmt.Errorf("mesh: %d flags for %d cells", len(flags), len(m.cells))
@@ -55,7 +63,8 @@ func (m *Mesh) Adapt(flags []RefineFlag) (*Remap, error) {
 	n := len(m.cells)
 
 	// Working copy with clamping.
-	want := make([]RefineFlag, n)
+	m.want = growSlice(m.want, n)
+	want := m.want
 	for i, f := range flags {
 		switch {
 		case f > Keep && int(m.cells[i].Level) < m.maxLevel:
@@ -101,79 +110,37 @@ func (m *Mesh) Adapt(flags []RefineFlag) (*Remap, error) {
 
 	// Coarsening: all four siblings must exist as leaves at the same level
 	// and all want to coarsen; the merged parent must not violate balance
-	// against any neighbor's post-refinement level.
-	type group struct {
-		members [4]int32
-		ok      bool
-	}
-	groups := make(map[uint64]*group)
+	// against any neighbor's post-refinement level. Each sibling group is
+	// judged once, from its SW child (a group without one cannot coarsen);
+	// a granted group marks its lowest-indexed member to emit the parent.
+	// Marking changes only the group's own entries, which no other group's
+	// judgement reads.
 	for idx := 0; idx < n; idx++ {
-		if want[idx] != Coarsen {
-			continue
-		}
 		c := m.cells[idx]
-		p := c.Parent()
-		k := key(p.I, p.J, p.Level)
-		g, ok := groups[k]
-		if !ok {
-			g = &group{ok: true}
-			for q, ch := range p.Children() {
-				chIdx := m.Lookup(ch.I, ch.J, ch.Level)
-				if chIdx < 0 || want[chIdx] != Coarsen {
-					g.ok = false
-					break
-				}
-				g.members[q] = chIdx
-			}
-			groups[k] = g
-		}
-	}
-	// Balance veto: the parent (level L-1) may not touch any cell whose
-	// post-refinement level exceeds L. Member cells' neighbors bound this.
-	for _, g := range groups {
-		if !g.ok {
+		if want[idx] != Coarsen || c.I&1 != 0 || c.J&1 != 0 {
 			continue
 		}
-		for _, member := range g.members {
-			nb := &m.nbrs[member]
-			memberLevel := int(m.cells[member].Level)
-			for s := Left; s <= Top; s++ {
-				for _, nIdx := range nb.On(s) {
-					final := int(m.cells[nIdx].Level)
-					if want[nIdx] == Refine {
-						final++
-					}
-					if final > memberLevel {
-						g.ok = false
-					}
-				}
-			}
+		members, ok := m.siblings(c.Parent(), want)
+		if !ok || !m.coarsenBalanced(members, want) {
+			continue
 		}
-	}
-	// Demote members of failed groups to Keep.
-	coarsenGranted := make([]bool, n)
-	for _, g := range groups {
-		if g.ok {
-			for _, member := range g.members {
-				coarsenGranted[member] = true
-			}
+		lead := min(members[0], members[1], members[2], members[3])
+		for _, member := range members {
+			want[member] = coarsenMerged
 		}
-	}
-	for idx := 0; idx < n; idx++ {
-		if want[idx] == Coarsen && !coarsenGranted[idx] {
-			want[idx] = Keep
-		}
+		want[lead] = coarsenLead
 	}
 
 	// Build the new cell list in old-cell order: refined children expand in
-	// place, coarsened parents emit at the first sibling's position.
-	plan := &Remap{OldLen: n}
-	newCells := make([]Cell, 0, n)
-	emitted := make(map[uint64]bool)
+	// place, coarsened parents emit at their lowest-indexed sibling.
+	plan := &m.remap
+	plan.Copies, plan.Refines, plan.Coarsens = plan.Copies[:0], plan.Refines[:0], plan.Coarsens[:0]
+	plan.OldLen = n
+	newCells := m.spare[:0]
 	for idx := 0; idx < n; idx++ {
 		c := m.cells[idx]
 		switch want[idx] {
-		case Keep:
+		case Keep, Coarsen: // Coarsen here is a request that was not granted
 			plan.Copies = append(plan.Copies, CopyOp{Old: int32(idx), New: int32(len(newCells))})
 			newCells = append(newCells, c)
 		case Refine:
@@ -183,24 +150,65 @@ func (m *Mesh) Adapt(flags []RefineFlag) (*Remap, error) {
 				newCells = append(newCells, ch)
 			}
 			plan.Refines = append(plan.Refines, op)
-		case Coarsen:
+		case coarsenLead:
 			p := c.Parent()
-			k := key(p.I, p.J, p.Level)
-			if emitted[k] {
-				continue
+			op := CoarsenOp{New: int32(len(newCells))}
+			for q, ch := range p.Children() {
+				op.Old[q] = m.Lookup(ch.I, ch.J, ch.Level)
 			}
-			emitted[k] = true
-			g := groups[k]
-			op := CoarsenOp{Old: g.members, New: int32(len(newCells))}
-			newCells = append(newCells, p)
 			plan.Coarsens = append(plan.Coarsens, op)
+			newCells = append(newCells, p)
 		}
 	}
 	plan.NewLen = len(newCells)
 
-	m.cells = newCells
+	m.cells, m.spare = newCells, m.cells
 	m.rebuild()
 	return plan, nil
+}
+
+// siblings returns the leaf indices of p's four children (SW, SE, NW, NE)
+// and whether all four are leaves that want to coarsen.
+func (m *Mesh) siblings(p Cell, want []RefineFlag) (members [4]int32, ok bool) {
+	for q, ch := range p.Children() {
+		idx := m.Lookup(ch.I, ch.J, ch.Level)
+		if idx < 0 || want[idx] != Coarsen {
+			return members, false
+		}
+		members[q] = idx
+	}
+	return members, true
+}
+
+// coarsenBalanced is the balance veto: the parent (level L-1) may not touch
+// any cell whose post-refinement level exceeds L, and the members' own
+// neighbors bound that.
+func (m *Mesh) coarsenBalanced(members [4]int32, want []RefineFlag) bool {
+	for _, member := range members {
+		nb := &m.nbrs[member]
+		memberLevel := int(m.cells[member].Level)
+		for s := Left; s <= Top; s++ {
+			for _, nIdx := range nb.On(s) {
+				final := int(m.cells[nIdx].Level)
+				if want[nIdx] == Refine {
+					final++
+				}
+				if final > memberLevel {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// growSlice returns xs resized to n, reallocating only when its capacity
+// is short. Contents are unspecified; callers overwrite what they read.
+func growSlice[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
+	}
+	return xs[:n]
 }
 
 // ApplyRemap transfers per-cell state across an Adapt. prolong maps a parent

@@ -12,6 +12,8 @@ package mesh
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/par"
 )
 
 // MaxRefineLevel is the hard cap on refinement depth supported by the key
@@ -86,26 +88,32 @@ type Mesh struct {
 	bounds             Bounds
 
 	cells []Cell
-	index map[uint64]int32
+	index cellIndex
 	nbrs  []Neighbors
+
+	// Neighbor resolution runs on the shared pool over this many chunks
+	// (≤1 serial); resolveRange is bound once so dispatch allocates
+	// nothing. Every cell writes only its own nbrs entry, so the lists are
+	// identical at any lane count.
+	pool         *par.Pool
+	workers      int
+	resolveRange func(lo, hi int)
+
+	// Adapt scratch, grow-only: the flag working copy, the spare cell list
+	// the next Adapt builds into (ping-ponged with cells) and the returned
+	// remap plan.
+	want  []RefineFlag
+	spare []Cell
+	remap Remap
 }
 
 // New creates a uniform coarse mesh of nx × ny cells over bounds that may
 // refine up to maxLevel extra levels. Cells are laid out row-major.
 func New(nx, ny, maxLevel int, bounds Bounds) (*Mesh, error) {
-	if nx <= 0 || ny <= 0 {
-		return nil, fmt.Errorf("mesh: grid %dx%d must be positive", nx, ny)
+	if err := checkShape(nx, ny, maxLevel, bounds); err != nil {
+		return nil, err
 	}
-	if maxLevel < 0 || maxLevel > MaxRefineLevel {
-		return nil, fmt.Errorf("mesh: maxLevel %d out of [0,%d]", maxLevel, MaxRefineLevel)
-	}
-	if int64(nx)<<maxLevel >= 1<<28 || int64(ny)<<maxLevel >= 1<<28 {
-		return nil, fmt.Errorf("mesh: %dx%d at %d levels exceeds coordinate range", nx, ny, maxLevel)
-	}
-	if bounds.Width() <= 0 || bounds.Height() <= 0 {
-		return nil, fmt.Errorf("mesh: degenerate bounds %+v", bounds)
-	}
-	m := &Mesh{coarseNX: nx, coarseNY: ny, maxLevel: maxLevel, bounds: bounds}
+	m := newMesh(nx, ny, maxLevel, bounds)
 	m.cells = make([]Cell, 0, nx*ny)
 	for j := 0; j < ny; j++ {
 		for i := 0; i < nx; i++ {
@@ -116,20 +124,64 @@ func New(nx, ny, maxLevel int, bounds Bounds) (*Mesh, error) {
 	return m, nil
 }
 
+// checkShape validates the grid, depth and bounds New and FromCells accept.
+func checkShape(nx, ny, maxLevel int, bounds Bounds) error {
+	if nx <= 0 || ny <= 0 {
+		return fmt.Errorf("mesh: grid %dx%d must be positive", nx, ny)
+	}
+	if maxLevel < 0 || maxLevel > MaxRefineLevel {
+		return fmt.Errorf("mesh: maxLevel %d out of [0,%d]", maxLevel, MaxRefineLevel)
+	}
+	if int64(nx)<<maxLevel >= 1<<28 || int64(ny)<<maxLevel >= 1<<28 {
+		return fmt.Errorf("mesh: %dx%d at %d levels exceeds coordinate range", nx, ny, maxLevel)
+	}
+	if bounds.Width() <= 0 || bounds.Height() <= 0 {
+		return fmt.Errorf("mesh: degenerate bounds %+v", bounds)
+	}
+	return nil
+}
+
+// newMesh returns an empty serial mesh of a validated shape with its
+// neighbor kernel bound.
+func newMesh(nx, ny, maxLevel int, bounds Bounds) *Mesh {
+	m := &Mesh{
+		coarseNX: nx, coarseNY: ny, maxLevel: maxLevel, bounds: bounds,
+		pool: par.Default(), workers: 1,
+	}
+	m.resolveRange = func(lo, hi int) {
+		for idx := lo; idx < hi; idx++ {
+			m.computeNeighbors(int32(idx), &m.nbrs[idx])
+		}
+	}
+	return m
+}
+
 // FromCells reconstructs a mesh from an explicit leaf list (checkpoint
-// restart). The list must describe a valid 2:1-balanced cover of the
+// restart), resolving neighbors over the given lane budget (see
+// SetWorkers). The list must describe a valid 2:1-balanced cover of the
 // domain; cell order is preserved so state arrays stay index-aligned.
-func FromCells(nx, ny, maxLevel int, bounds Bounds, cells []Cell) (*Mesh, error) {
-	m, err := New(nx, ny, maxLevel, bounds)
-	if err != nil {
+func FromCells(nx, ny, maxLevel int, bounds Bounds, cells []Cell, workers int) (*Mesh, error) {
+	if err := checkShape(nx, ny, maxLevel, bounds); err != nil {
 		return nil, err
 	}
+	m := newMesh(nx, ny, maxLevel, bounds)
+	m.SetWorkers(workers)
 	m.cells = append([]Cell(nil), cells...)
 	m.rebuild()
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("mesh: restored cell list invalid: %w", err)
 	}
 	return m, nil
+}
+
+// SetWorkers sets the lane budget of neighbor resolution in later
+// rebuilds, with the solvers' rule: ≤1 runs serially. Results are
+// identical at every setting.
+func (m *Mesh) SetWorkers(n int) {
+	if n < 1 {
+		n = 1
+	}
+	m.workers = n
 }
 
 // NumCells returns the number of active leaves.
@@ -147,15 +199,13 @@ func (m *Mesh) Bounds() Bounds { return m.bounds }
 // Cell returns the leaf with the given index.
 func (m *Mesh) Cell(idx int) Cell { return m.cells[idx] }
 
-// Cells returns the live leaf slice; callers must not modify it.
+// Cells returns the live leaf slice; callers must not modify it. Like
+// Neighbors it aliases mesh storage that the next Adapt reuses.
 func (m *Mesh) Cells() []Cell { return m.cells }
 
 // Lookup returns the index of the leaf (i, j, level), or -1.
 func (m *Mesh) Lookup(i, j int32, level int8) int32 {
-	if idx, ok := m.index[key(i, j, level)]; ok {
-		return idx
-	}
-	return -1
+	return m.index.lookup(key(i, j, level))
 }
 
 // CellSize returns the physical cell dimensions at a refinement level.
@@ -183,21 +233,22 @@ func (m *Mesh) Area(idx int) float64 {
 // Adapt.
 func (m *Mesh) Neighbors(idx int) *Neighbors { return &m.nbrs[idx] }
 
-// levelNX returns the grid dimensions at a level.
+// levelDims returns the grid dimensions at a level.
 func (m *Mesh) levelDims(level int8) (nx, ny int32) {
 	return int32(int64(m.coarseNX) << uint(level)), int32(int64(m.coarseNY) << uint(level))
 }
 
-// rebuild reconstructs the hash index and the neighbor cache from m.cells.
+// rebuild reconstructs the hash index (serially: a few nanoseconds per
+// cell) and the neighbor cache (on the pool) from m.cells, reusing both
+// when the mesh does not grow.
 func (m *Mesh) rebuild() {
-	m.index = make(map[uint64]int32, len(m.cells))
+	n := len(m.cells)
+	m.index.reset(n)
 	for idx, c := range m.cells {
-		m.index[key(c.I, c.J, c.Level)] = int32(idx)
+		m.index.insert(key(c.I, c.J, c.Level), int32(idx))
 	}
-	m.nbrs = make([]Neighbors, len(m.cells))
-	for idx := range m.cells {
-		m.computeNeighbors(int32(idx), &m.nbrs[idx])
-	}
+	m.nbrs = growSlice(m.nbrs, n)
+	m.pool.ForN(m.workers, n, m.resolveRange)
 }
 
 // computeNeighbors resolves all four sides of cell idx via hash probes:
@@ -206,69 +257,69 @@ func (m *Mesh) rebuild() {
 func (m *Mesh) computeNeighbors(idx int32, out *Neighbors) {
 	c := m.cells[idx]
 	nx, ny := m.levelDims(c.Level)
+	m.resolveSide(out, c, Left, c.I-1, c.J, c.I > 0)
+	m.resolveSide(out, c, Right, c.I+1, c.J, c.I+1 < nx)
+	m.resolveSide(out, c, Bottom, c.I, c.J-1, c.J > 0)
+	m.resolveSide(out, c, Top, c.I, c.J+1, c.J+1 < ny)
+}
 
-	resolve := func(side Side, ni, nj int32, inDomain bool) {
-		out.Counts[side] = 0
-		if !inDomain {
-			return
-		}
-		// Same level.
-		if n := m.Lookup(ni, nj, c.Level); n >= 0 {
+// resolveSide fills out's entry for one side of c, whose same-level
+// neighbor position is (ni, nj).
+func (m *Mesh) resolveSide(out *Neighbors, c Cell, side Side, ni, nj int32, inDomain bool) {
+	out.Counts[side] = 0
+	if !inDomain {
+		return
+	}
+	// Same level.
+	if n := m.Lookup(ni, nj, c.Level); n >= 0 {
+		out.Cells[side][0] = n
+		out.Counts[side] = 1
+		return
+	}
+	// Coarser.
+	if c.Level > 0 {
+		if n := m.Lookup(ni>>1, nj>>1, c.Level-1); n >= 0 {
 			out.Cells[side][0] = n
 			out.Counts[side] = 1
 			return
 		}
-		// Coarser.
-		if c.Level > 0 {
-			if n := m.Lookup(ni>>1, nj>>1, c.Level-1); n >= 0 {
-				out.Cells[side][0] = n
-				out.Counts[side] = 1
-				return
-			}
-		}
-		// Two finer cells sharing the face.
-		if int(c.Level) < m.maxLevel {
-			var a, b int32
-			switch side {
-			case Left:
-				a = m.Lookup(2*ni+1, 2*nj, c.Level+1)
-				b = m.Lookup(2*ni+1, 2*nj+1, c.Level+1)
-			case Right:
-				a = m.Lookup(2*ni, 2*nj, c.Level+1)
-				b = m.Lookup(2*ni, 2*nj+1, c.Level+1)
-			case Bottom:
-				a = m.Lookup(2*ni, 2*nj+1, c.Level+1)
-				b = m.Lookup(2*ni+1, 2*nj+1, c.Level+1)
-			case Top:
-				a = m.Lookup(2*ni, 2*nj, c.Level+1)
-				b = m.Lookup(2*ni+1, 2*nj, c.Level+1)
-			}
-			if a >= 0 && b >= 0 {
-				out.Cells[side][0], out.Cells[side][1] = a, b
-				out.Counts[side] = 2
-				return
-			}
-		}
-		// Unreachable on a consistent mesh; leave as boundary so a broken
-		// mesh fails Validate rather than panicking mid-solve.
 	}
-
-	resolve(Left, c.I-1, c.J, c.I > 0)
-	resolve(Right, c.I+1, c.J, c.I+1 < nx)
-	resolve(Bottom, c.I, c.J-1, c.J > 0)
-	resolve(Top, c.I, c.J+1, c.J+1 < ny)
-	_ = ny
+	// Two finer cells sharing the face.
+	if int(c.Level) < m.maxLevel {
+		var a, b int32
+		switch side {
+		case Left:
+			a = m.Lookup(2*ni+1, 2*nj, c.Level+1)
+			b = m.Lookup(2*ni+1, 2*nj+1, c.Level+1)
+		case Right:
+			a = m.Lookup(2*ni, 2*nj, c.Level+1)
+			b = m.Lookup(2*ni, 2*nj+1, c.Level+1)
+		case Bottom:
+			a = m.Lookup(2*ni, 2*nj+1, c.Level+1)
+			b = m.Lookup(2*ni+1, 2*nj+1, c.Level+1)
+		case Top:
+			a = m.Lookup(2*ni, 2*nj, c.Level+1)
+			b = m.Lookup(2*ni+1, 2*nj, c.Level+1)
+		}
+		if a >= 0 && b >= 0 {
+			out.Cells[side][0], out.Cells[side][1] = a, b
+			out.Counts[side] = 2
+			return
+		}
+	}
+	// Unreachable on a consistent mesh; leave as boundary so a broken
+	// mesh fails Validate rather than panicking mid-solve.
 }
 
 // Validate checks mesh invariants: exact single coverage of the domain,
 // index consistency, and 2:1 balance. It returns the first violation found.
 func (m *Mesh) Validate() error {
 	// Index consistency.
-	if len(m.index) != len(m.cells) {
-		return fmt.Errorf("mesh: %d cells but %d index entries (duplicate leaves?)", len(m.cells), len(m.index))
+	if m.index.distinct != len(m.cells) {
+		return fmt.Errorf("mesh: %d cells but %d index entries (duplicate leaves?)", len(m.cells), m.index.distinct)
 	}
 	for idx, c := range m.cells {
-		if got, ok := m.index[key(c.I, c.J, c.Level)]; !ok || got != int32(idx) {
+		if m.Lookup(c.I, c.J, c.Level) != int32(idx) {
 			return fmt.Errorf("mesh: index inconsistent for cell %d (%+v)", idx, c)
 		}
 		if c.Level < 0 || int(c.Level) > m.maxLevel {

@@ -297,6 +297,29 @@ func TestSumReproduciblePermutationInvariance(t *testing.T) {
 	}
 }
 
+// TestFoldReproducibleInPlace: the in-place fold is the same sum as
+// SumReproducible (which must leave its input intact) and allocates
+// nothing.
+func TestFoldReproducibleInPlace(t *testing.T) {
+	xs, _ := IllConditioned(4096, 1e12, 29)
+	orig := append([]float64(nil), xs...)
+	want := SumReproducible(xs)
+	for i := range xs {
+		if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
+			t.Fatalf("SumReproducible modified its input at %d", i)
+		}
+	}
+	scratch := make([]float64, len(xs))
+	if allocs := testing.AllocsPerRun(5, func() {
+		copy(scratch, xs)
+		if got := FoldReproducible(scratch); got != want {
+			t.Fatalf("FoldReproducible = %x, SumReproducible %x", got, want)
+		}
+	}); allocs != 0 {
+		t.Errorf("FoldReproducible allocated %v objects", allocs)
+	}
+}
+
 func TestLongAccPermutationInvariance(t *testing.T) {
 	xs, exact := IllConditioned(2048, 1e15, 17)
 	rng := rand.New(rand.NewSource(19))

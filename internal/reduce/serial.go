@@ -167,8 +167,16 @@ func SumDoubleDouble(xs []float64) DD {
 // (Demmel & Nguyen's 1-reduction scheme), so that the subsequent additions
 // are exact in float64 and therefore order-independent. The discarded low
 // bits are themselves summed the same way at a finer boundary, in up to
-// three folds, recovering near-full accuracy.
+// three folds, recovering near-full accuracy. xs is left unchanged.
 func SumReproducible(xs []float64) float64 {
+	return FoldReproducible(append([]float64(nil), xs...))
+}
+
+// FoldReproducible is SumReproducible without the copy: the folds write
+// their remainders back into xs, so the addends do not survive the call.
+// Callers that own a scratch buffer of addends use it to sum without
+// allocating.
+func FoldReproducible(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -199,16 +207,14 @@ func SumReproducible(xs []float64) float64 {
 	const folds = 3
 	var total DD
 	boundary := math.Ldexp(1, ilogb(maxAbs)-foldBits+1)
-	rem := make([]float64, n)
-	copy(rem, xs)
 	for f := 0; f < folds; f++ {
 		var s float64 // exact: all addends share the boundary's grid
 		allZero := true
-		for i, x := range rem {
+		for i, x := range xs {
 			q := prround(x, boundary)
 			s += q
-			rem[i] = x - q // exact (Sterbenz-style: q is x rounded to a coarser grid)
-			if rem[i] != 0 {
+			xs[i] = x - q // exact (Sterbenz-style: q is x rounded to a coarser grid)
+			if xs[i] != 0 {
 				allZero = false
 			}
 		}

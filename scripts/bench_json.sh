@@ -5,8 +5,9 @@
 # the campaign-expansion benchmark into BENCH_7.json, and the observability
 # hot-path benchmarks (per-job trace lifecycle with worker-subtree stitch,
 # fleet-metrics federation) into BENCH_9.json, and the CLAMR steady-state
-# step (face and cell kernels, one and several lanes) into BENCH_12.json —
-# one record per bench with
+# step (face and cell kernels, one and several lanes) into BENCH_12.json,
+# and the steady-state mesh adaptation cycle (one and two lanes) into
+# BENCH_13.json — one record per bench with
 # ns/op, ops/sec, B/op and allocs/op (for the campaign bench, ops/sec is
 # specs expanded+hashed per second). The files are committed so the
 # trajectory is versioned alongside the code.
@@ -21,8 +22,9 @@
 #   * alloc regression vs the committed baseline — allocs/op is
 #     machine-independent, so any tracked bench allocating >20% more than
 #     the committed number fails the gate;
-#   * zero allocations for the CLAMR step benches: the step loop must
-#     allocate nothing at any lane count. Lane speedups are not gated (a
+#   * zero allocations for the CLAMR step benches and the mesh adapt
+#     cycle: neither may allocate at any lane count. Lane speedups are not
+#     gated (a
 #     1-core host cannot show one). Raw ns/op is NOT compared
 #     across machines (a faster or slower CI host would make the gate
 #     meaningless); the ratio checks carry the wall-clock contract.
@@ -34,13 +36,15 @@ OUT=BENCH_6.json
 OUT7=BENCH_7.json
 OUT9=BENCH_9.json
 OUT12=BENCH_12.json
+OUT13=BENCH_13.json
 MODE=${1:-generate}
 
 raw=$(mktemp)
 raw7=$(mktemp)
 raw9=$(mktemp)
 raw12=$(mktemp)
-trap 'rm -f "$raw" "$raw7" "$raw9" "$raw12"' EXIT
+raw13=$(mktemp)
+trap 'rm -f "$raw" "$raw7" "$raw9" "$raw12" "$raw13"' EXIT
 
 echo "== running read-path benchmarks (this takes ~10s)"
 $GO test -run '^$' -bench 'ReadPath' -benchmem -benchtime=1s \
@@ -62,6 +66,11 @@ $GO test -run '^$' -bench 'CLAMRStep' -benchmem -benchtime=1s \
     ./internal/clamr/ | tee "$raw12" | grep -E '^Benchmark' || {
     echo "FAIL: CLAMR step benchmarks did not run"; exit 1; }
 
+echo "== running mesh adaptation benchmarks"
+$GO test -run '^$' -bench 'MeshAdapt' -benchmem -benchtime=1s \
+    ./internal/mesh/ | tee "$raw13" | grep -E '^Benchmark' || {
+    echo "FAIL: mesh adaptation benchmarks did not run"; exit 1; }
+
 # Parse `BenchmarkName-N  iters  ns/op  B/op  allocs/op` lines into JSON.
 parse_json() { # parse_json <raw-file>
     awk '
@@ -77,8 +86,9 @@ json=$(parse_json "$raw")
 json7=$(parse_json "$raw7")
 json9=$(parse_json "$raw9")
 json12=$(parse_json "$raw12")
+json13=$(parse_json "$raw13")
 
-if [ -z "$json" ] || [ -z "$json7" ] || [ -z "$json9" ] || [ -z "$json12" ]; then
+if [ -z "$json" ] || [ -z "$json7" ] || [ -z "$json9" ] || [ -z "$json12" ] || [ -z "$json13" ]; then
     echo "FAIL: no benchmark lines parsed"; exit 1
 fi
 
@@ -145,17 +155,19 @@ zero_alloc_gate() {
 }
 
 STEP_BENCHES=(CLAMRStep/face/w1 CLAMRStep/face/w2 CLAMRStep/face/w4 CLAMRStep/cell/w1 CLAMRStep/cell/w4)
+ADAPT_BENCHES=(MeshAdapt/w1 MeshAdapt/w2)
 
 if [ "$MODE" = "--check" ]; then
     [ -f "$OUT" ] || { echo "FAIL: no committed $OUT to gate against"; exit 1; }
     [ -f "$OUT7" ] || { echo "FAIL: no committed $OUT7 to gate against"; exit 1; }
     [ -f "$OUT9" ] || { echo "FAIL: no committed $OUT9 to gate against"; exit 1; }
-    fresh=$(mktemp); fresh7=$(mktemp); fresh9=$(mktemp); fresh12=$(mktemp)
-    trap 'rm -f "$raw" "$raw7" "$raw9" "$raw12" "$fresh" "$fresh7" "$fresh9" "$fresh12"' EXIT
+    fresh=$(mktemp); fresh7=$(mktemp); fresh9=$(mktemp); fresh12=$(mktemp); fresh13=$(mktemp)
+    trap 'rm -f "$raw" "$raw7" "$raw9" "$raw12" "$raw13" "$fresh" "$fresh7" "$fresh9" "$fresh12" "$fresh13"' EXIT
     printf '%s\n' "$json" > "$fresh"
     printf '%s\n' "$json7" > "$fresh7"
     printf '%s\n' "$json9" > "$fresh9"
     printf '%s\n' "$json12" > "$fresh12"
+    printf '%s\n' "$json13" > "$fresh13"
     echo "== fresh-run ratio gates"
     check_ratios "$fresh"
     fail=0
@@ -169,6 +181,8 @@ if [ "$MODE" = "--check" ]; then
     alloc_gate "$OUT9" "$fresh9" ObsJobTrace ObsStitchSnapshot ObsFederate || fail=1
     echo "== zero-allocation gate on the CLAMR step benches (the step loop allocates nothing at any lane count)"
     zero_alloc_gate "$fresh12" "${STEP_BENCHES[@]}" || fail=1
+    echo "== zero-allocation gate on the mesh adapt cycle (a refine/coarsen cycle that does not grow the mesh allocates nothing)"
+    zero_alloc_gate "$fresh13" "${ADAPT_BENCHES[@]}" || fail=1
     [ "$fail" = 0 ] || exit 1
     echo "PASS: bench regression gate"
     exit 0
@@ -218,7 +232,18 @@ cat > "$OUT12" <<EOF
   ]
 }
 EOF
-echo "== wrote $OUT, $OUT7, $OUT9 and $OUT12"
+cat > "$OUT13" <<EOF
+{
+  "schema": "bench-trajectory/v1",
+  "description": "Steady-state mesh adaptation: one refine/coarsen cycle (two mesh.Adapt calls) on a 192x192 coarse mesh with two levels, 68k leaves growing to 124k and back, neighbor resolution on 1 and 2 lanes. allocs/op is gated at 0; ns/op is recorded, not gated.",
+  "command": "make bench-json",
+  "benchmarks": [
+    $json13
+  ]
+}
+EOF
+echo "== wrote $OUT, $OUT7, $OUT9, $OUT12 and $OUT13"
 zero_alloc_gate "$OUT12" "${STEP_BENCHES[@]}"
+zero_alloc_gate "$OUT13" "${ADAPT_BENCHES[@]}"
 check_ratios "$OUT"
 echo "   campaign expansion: $(get "$OUT7" CampaignExpand ops_per_sec) specs/sec at $(get "$OUT7" CampaignExpand allocs_per_op) allocs/spec"
