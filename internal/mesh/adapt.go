@@ -1,6 +1,9 @@
 package mesh
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // RefineFlag is a per-cell adaptation request.
 type RefineFlag int8
@@ -63,7 +66,7 @@ func (m *Mesh) Adapt(flags []RefineFlag) (*Remap, error) {
 	n := len(m.cells)
 
 	// Working copy with clamping.
-	m.want = growSlice(m.want, n)
+	m.want = slices.Grow(m.want[:0], n)[:n]
 	want := m.want
 	for i, f := range flags {
 		switch {
@@ -112,9 +115,10 @@ func (m *Mesh) Adapt(flags []RefineFlag) (*Remap, error) {
 	// and all want to coarsen; the merged parent must not violate balance
 	// against any neighbor's post-refinement level. Each sibling group is
 	// judged once, from its SW child (a group without one cannot coarsen);
-	// a granted group marks its lowest-indexed member to emit the parent.
-	// Marking changes only the group's own entries, which no other group's
-	// judgement reads.
+	// a granted group marks its lowest-indexed member to emit the parent
+	// and the others as merged. Judgement tests members for Coarsen and
+	// neighbors for Refine, so the marks (neither) leave later groups'
+	// verdicts unchanged; a Coarsen left unmarked was not granted.
 	for idx := 0; idx < n; idx++ {
 		c := m.cells[idx]
 		if want[idx] != Coarsen || c.I&1 != 0 || c.J&1 != 0 {
@@ -140,7 +144,7 @@ func (m *Mesh) Adapt(flags []RefineFlag) (*Remap, error) {
 	for idx := 0; idx < n; idx++ {
 		c := m.cells[idx]
 		switch want[idx] {
-		case Keep, Coarsen: // Coarsen here is a request that was not granted
+		case Keep, Coarsen:
 			plan.Copies = append(plan.Copies, CopyOp{Old: int32(idx), New: int32(len(newCells))})
 			newCells = append(newCells, c)
 		case Refine:
@@ -158,6 +162,8 @@ func (m *Mesh) Adapt(flags []RefineFlag) (*Remap, error) {
 			}
 			plan.Coarsens = append(plan.Coarsens, op)
 			newCells = append(newCells, p)
+		case coarsenMerged:
+			// Emitted with its lead.
 		}
 	}
 	plan.NewLen = len(newCells)
@@ -200,15 +206,6 @@ func (m *Mesh) coarsenBalanced(members [4]int32, want []RefineFlag) bool {
 		}
 	}
 	return true
-}
-
-// growSlice returns xs resized to n, reallocating only when its capacity
-// is short. Contents are unspecified; callers overwrite what they read.
-func growSlice[T any](xs []T, n int) []T {
-	if cap(xs) < n {
-		return make([]T, n)
-	}
-	return xs[:n]
 }
 
 // ApplyRemap transfers per-cell state across an Adapt. prolong maps a parent

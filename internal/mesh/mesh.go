@@ -12,6 +12,7 @@ package mesh
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/par"
 )
@@ -110,10 +111,10 @@ type Mesh struct {
 // New creates a uniform coarse mesh of nx × ny cells over bounds that may
 // refine up to maxLevel extra levels. Cells are laid out row-major.
 func New(nx, ny, maxLevel int, bounds Bounds) (*Mesh, error) {
-	if err := checkShape(nx, ny, maxLevel, bounds); err != nil {
+	m, err := newMesh(nx, ny, maxLevel, bounds, 1)
+	if err != nil {
 		return nil, err
 	}
-	m := newMesh(nx, ny, maxLevel, bounds)
 	m.cells = make([]Cell, 0, nx*ny)
 	for j := 0; j < ny; j++ {
 		for i := 0; i < nx; i++ {
@@ -124,52 +125,44 @@ func New(nx, ny, maxLevel int, bounds Bounds) (*Mesh, error) {
 	return m, nil
 }
 
-// checkShape validates the grid, depth and bounds New and FromCells accept.
-func checkShape(nx, ny, maxLevel int, bounds Bounds) error {
-	if nx <= 0 || ny <= 0 {
-		return fmt.Errorf("mesh: grid %dx%d must be positive", nx, ny)
-	}
-	if maxLevel < 0 || maxLevel > MaxRefineLevel {
-		return fmt.Errorf("mesh: maxLevel %d out of [0,%d]", maxLevel, MaxRefineLevel)
-	}
-	if int64(nx)<<maxLevel >= 1<<28 || int64(ny)<<maxLevel >= 1<<28 {
-		return fmt.Errorf("mesh: %dx%d at %d levels exceeds coordinate range", nx, ny, maxLevel)
-	}
-	if bounds.Width() <= 0 || bounds.Height() <= 0 {
-		return fmt.Errorf("mesh: degenerate bounds %+v", bounds)
-	}
-	return nil
-}
-
-// newMesh returns an empty serial mesh of a validated shape with its
-// neighbor kernel bound.
-func newMesh(nx, ny, maxLevel int, bounds Bounds) *Mesh {
-	m := &Mesh{
-		coarseNX: nx, coarseNY: ny, maxLevel: maxLevel, bounds: bounds,
-		pool: par.Default(), workers: 1,
-	}
-	m.resolveRange = func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			m.computeNeighbors(int32(idx), &m.nbrs[idx])
-		}
-	}
-	return m
-}
-
 // FromCells reconstructs a mesh from an explicit leaf list (checkpoint
 // restart), resolving neighbors over the given lane budget (see
 // SetWorkers). The list must describe a valid 2:1-balanced cover of the
 // domain; cell order is preserved so state arrays stay index-aligned.
 func FromCells(nx, ny, maxLevel int, bounds Bounds, cells []Cell, workers int) (*Mesh, error) {
-	if err := checkShape(nx, ny, maxLevel, bounds); err != nil {
+	m, err := newMesh(nx, ny, maxLevel, bounds, workers)
+	if err != nil {
 		return nil, err
 	}
-	m := newMesh(nx, ny, maxLevel, bounds)
-	m.SetWorkers(workers)
 	m.cells = append([]Cell(nil), cells...)
 	m.rebuild()
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("mesh: restored cell list invalid: %w", err)
+	}
+	return m, nil
+}
+
+// newMesh validates the shape and returns a mesh without cells, its
+// neighbor kernel bound to the shared pool.
+func newMesh(nx, ny, maxLevel int, bounds Bounds, workers int) (*Mesh, error) {
+	if nx <= 0 || ny <= 0 {
+		return nil, fmt.Errorf("mesh: grid %dx%d must be positive", nx, ny)
+	}
+	if maxLevel < 0 || maxLevel > MaxRefineLevel {
+		return nil, fmt.Errorf("mesh: maxLevel %d out of [0,%d]", maxLevel, MaxRefineLevel)
+	}
+	if int64(nx)<<maxLevel >= 1<<28 || int64(ny)<<maxLevel >= 1<<28 {
+		return nil, fmt.Errorf("mesh: %dx%d at %d levels exceeds coordinate range", nx, ny, maxLevel)
+	}
+	if bounds.Width() <= 0 || bounds.Height() <= 0 {
+		return nil, fmt.Errorf("mesh: degenerate bounds %+v", bounds)
+	}
+	m := &Mesh{coarseNX: nx, coarseNY: ny, maxLevel: maxLevel, bounds: bounds, pool: par.Default()}
+	m.SetWorkers(workers)
+	m.resolveRange = func(lo, hi int) {
+		for idx := lo; idx < hi; idx++ {
+			m.computeNeighbors(int32(idx), &m.nbrs[idx])
+		}
 	}
 	return m, nil
 }
@@ -247,16 +240,19 @@ func (m *Mesh) rebuild() {
 	for idx, c := range m.cells {
 		m.index.insert(key(c.I, c.J, c.Level), int32(idx))
 	}
-	m.nbrs = growSlice(m.nbrs, n)
+	m.nbrs = slices.Grow(m.nbrs[:0], n)[:n]
 	m.pool.ForN(m.workers, n, m.resolveRange)
 }
 
 // computeNeighbors resolves all four sides of cell idx via hash probes:
 // same level first, then coarser, then the two finer children — exactly one
-// succeeds on a balanced mesh (or the side is a domain boundary).
+// succeeds on a balanced mesh (or the side is a domain boundary). out is
+// cleared first, so slots past each side's count hold zeros rather than an
+// earlier mesh's indices.
 func (m *Mesh) computeNeighbors(idx int32, out *Neighbors) {
 	c := m.cells[idx]
 	nx, ny := m.levelDims(c.Level)
+	*out = Neighbors{}
 	m.resolveSide(out, c, Left, c.I-1, c.J, c.I > 0)
 	m.resolveSide(out, c, Right, c.I+1, c.J, c.I+1 < nx)
 	m.resolveSide(out, c, Bottom, c.I, c.J-1, c.J > 0)
@@ -266,7 +262,6 @@ func (m *Mesh) computeNeighbors(idx int32, out *Neighbors) {
 // resolveSide fills out's entry for one side of c, whose same-level
 // neighbor position is (ni, nj).
 func (m *Mesh) resolveSide(out *Neighbors, c Cell, side Side, ni, nj int32, inDomain bool) {
-	out.Counts[side] = 0
 	if !inDomain {
 		return
 	}
